@@ -1,6 +1,6 @@
-"""Static verification tooling: model checker, lint pack, sanitizer.
+"""Static verification tooling: model checker and static analysis.
 
-Three tools live here, all with console entry points:
+Two tools live here, both with console entry points:
 
 * ``repro-verify`` (:mod:`repro.analysis.verify`) — an explicit-state
   model checker that drives a tiny two-processor machine through every
@@ -8,14 +8,14 @@ Three tools live here, all with console entry points:
   (V-cache state x R-subentry state x peer state x write-buffer
   state) for one tracked physical block, and checks the DESIGN.md §5
   invariants on every reachable state.
-* ``repro-lint`` (:mod:`repro.analysis.lint`) — a stdlib-``ast`` lint
-  pack with repo-specific rules (metric-name validity, tracer slot
+* ``repro-lint`` (:mod:`repro.analysis.lint`) — the one static
+  analysis front end.  It parses each file once and runs the
+  stdlib-``ast`` RPL rules (metric-name validity, tracer slot
   discipline, ``__slots__`` on hot classes, no allocation in hot
-  loops).
-* ``repro-sanitize`` (:mod:`repro.analysis.sanitize`) — a whole-repo
-  dataflow analyzer: determinism taint (nondeterminism sources
-  reaching cache keys, journal records, simulation state) and asyncio
-  hazards in the serve layer.  Its runtime companions —
+  loops) and the call-graph RPS pack of :mod:`repro.analysis.sanitize`
+  (determinism taint — nondeterminism sources reaching cache keys,
+  journal records, simulation state — and asyncio hazards in the
+  serve layer).  The RPS runtime companions —
   :class:`~repro.analysis.runtime.DeterminismGuard` and
   :class:`~repro.analysis.runtime.LoopStallWatchdog` — live in
   :mod:`repro.analysis.runtime` and back the ``--sanitize`` flags on
@@ -23,11 +23,9 @@ Three tools live here, all with console entry points:
 """
 
 from .explore import ExplorationLimitError, ScenarioReport, Transition, explore
-from .lint import Finding, lint_paths, lint_source
+from .lint import Finding, lint_paths, lint_source, lint_sources
 from .model import SCENARIOS, ProtocolModel, Scenario, snoop_table
 from .runtime import DeterminismGuard, DeterminismViolation, LoopStallWatchdog
-from .sanitize import analyze_paths, analyze_sources
-from .sanitize import Finding as SanitizeFinding
 
 __all__ = [
     "DeterminismGuard",
@@ -37,14 +35,12 @@ __all__ = [
     "LoopStallWatchdog",
     "ProtocolModel",
     "SCENARIOS",
-    "SanitizeFinding",
     "Scenario",
     "ScenarioReport",
     "Transition",
-    "analyze_paths",
-    "analyze_sources",
     "explore",
     "lint_paths",
     "lint_source",
+    "lint_sources",
     "snoop_table",
 ]

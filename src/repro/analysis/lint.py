@@ -1,12 +1,21 @@
-"""``repro-lint``: a stdlib-``ast`` lint pack with repo-specific rules.
+"""``repro-lint``: the repo's static-analysis front end.
 
-The generic linters cannot know this repo's conventions, so four
-rules encode them directly:
+The generic linters cannot know this repo's conventions, so this
+module encodes them directly.  It walks the given files, parses each
+one once (a file that does not parse is reported once, as
+**RPL000**) and runs two rule packs over the trees:
+
+* the single-node **RPL** rules below, over every file;
+* the call-graph **RPS** pack of :mod:`repro.analysis.sanitize`
+  (determinism taint and async hazards), over the modules of the
+  ``repro`` package.
+
+Both packs report the same :class:`Finding` into one sorted report.
 
 * **RPL001** — every dotted metric-name string literal passed to a
   :class:`~repro.obs.metrics.MetricsRegistry` method (``inc``,
-  ``value``, ``counter``, ``histogram``, ``timer``, ``total``) must
-  exist in the canonical dotted namespace (the values of
+  ``value``, ``counter``, ``histogram``, ``total``) must exist in the
+  canonical dotted namespace (the values of
   ``HIERARCHY_METRIC_NAMES`` / ``TLB_METRIC_NAMES`` plus the
   dynamically generated ``bus.*`` / ``misc.*`` families).  A typo in
   a metric name otherwise reads as a silent zero.
@@ -34,7 +43,8 @@ rules encode them directly:
 Rules are scoped: RPL001/RPL002 skip ``tests/`` (tests construct
 synthetic registries and tracers on purpose) and the defining modules
 themselves; RPL003/RPL004 apply only to the hot-module allowlist;
-RPL005 only to the chunk-loop function map.
+RPL005 only to the chunk-loop function map.  ``# rps: ignore[...]``
+pragmas silence RPS findings only; no RPL finding is suppressible.
 """
 
 from __future__ import annotations
@@ -43,12 +53,13 @@ import argparse
 import ast
 import json
 import sys
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 #: Rule id -> one-line summary (``repro-lint --list-rules``).
 RULES: dict[str, str] = {
+    "RPL000": "file must parse",
     "RPL001": "dotted metric-name literals must exist in the "
     "MetricsRegistry namespace",
     "RPL002": "tracer emit sites must use a pre-resolved _tr* category "
@@ -58,13 +69,20 @@ RULES: dict[str, str] = {
     "functions",
     "RPL005": "no attribute lookups or container construction inside "
     "the SoA chunk loop",
-    "RPL000": "file must parse",
+    "RPS101": "directory listings must be sorted or consumed "
+    "order-insensitively",
+    "RPS102": "wall-clock reads must not reach determinism-critical sinks",
+    "RPS103": "unseeded randomness is forbidden in package code",
+    "RPS104": "set iteration order must not escape; wrap in sorted()",
+    "RPS105": "builtin hash() is PYTHONHASHSEED-salted; use hashlib",
+    "RPS201": "blocking call inside async def; wrap in asyncio.to_thread",
+    "RPS202": "create_task result dropped or never observed",
+    "RPS203": "except TimeoutError needs the asyncio.TimeoutError alias",
+    "RPS204": "await while holding a synchronous lock",
 }
 
 #: Registry methods whose string arguments are dotted metric names.
-_METRIC_METHODS = frozenset(
-    {"inc", "value", "counter", "histogram", "timer", "total"}
-)
+_METRIC_METHODS = frozenset({"inc", "value", "counter", "histogram", "total"})
 
 #: Metric families minted at runtime (``registry_from_result``).
 _DYNAMIC_METRIC_PREFIXES = ("bus.", "misc.")
@@ -116,25 +134,24 @@ _SLOTLESS_BASES = frozenset(
 
 @dataclass(frozen=True)
 class Finding:
-    """One lint violation."""
+    """One violation of any rule.  *chain* names the call-graph hops
+    an interprocedural (RPS) finding flowed through."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
+    chain: tuple[str, ...] = ()
 
     def render(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+        text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
+        if self.chain:
+            text += f" [via {' -> '.join(self.chain)}]"
+        return text
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 def known_metric_names() -> frozenset[str]:
@@ -473,58 +490,72 @@ def _check_chunk_loop(tree: ast.AST, path: str) -> Iterator[Finding]:
 # ------------------------------------------------------------------ API
 
 
-def lint_source(source: str, path: str) -> list[Finding]:
-    """Lint one file's source under its repo-relative ``path``.
+def lint_sources(files: Mapping[str, str]) -> list[Finding]:
+    """Lint in-memory sources (path -> text) under every rule.
 
     The path drives rule scoping (hot-module membership, tests
-    exclusion), so tests can exercise any rule by supplying a crafted
-    path alongside a deliberately violating sample.
+    exclusion, membership of the ``repro`` package), so tests can
+    exercise any rule by supplying a crafted path alongside a
+    deliberately violating sample.
     """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                "RPL000",
-                path,
-                exc.lineno or 1,
-                (exc.offset or 1) - 1,
-                f"syntax error: {exc.msg}",
+    from .sanitize import check_package  # sanitize imports Finding from here
+
+    known = known_metric_names()
+    categories = tracer_categories()
+    findings: list[Finding] = []
+    parsed: dict[str, tuple[ast.Module, str]] = {}
+    for path, source in sorted(files.items()):
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    "RPL000",
+                    path,
+                    exc.lineno or 1,
+                    (exc.offset or 1) - 1,
+                    f"syntax error: {exc.msg}",
+                )
             )
-        ]
-    findings = [
-        *_check_metric_names(tree, path, known_metric_names()),
-        *_check_tracer_sites(tree, path, tracer_categories()),
-        *_check_hot_slots(tree, path),
-        *_check_hot_allocations(tree, path),
-        *_check_chunk_loop(tree, path),
-    ]
+            continue
+        parsed[path] = (tree, source)
+        findings.extend(_check_metric_names(tree, path, known))
+        findings.extend(_check_tracer_sites(tree, path, categories))
+        findings.extend(_check_hot_slots(tree, path))
+        findings.extend(_check_hot_allocations(tree, path))
+        findings.extend(_check_chunk_loop(tree, path))
+    findings.extend(check_package(parsed))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
 
 
-def _iter_files(paths: Iterable[str | Path]) -> Iterator[Path]:
+def lint_source(source: str, path: str) -> list[Finding]:
+    """Lint one file's source under its repo-relative ``path``."""
+    return lint_sources({path: source})
+
+
+def _read_files(paths: Iterable[str | Path]) -> dict[str, str]:
+    """Every ``*.py`` file under the given files/directories."""
+    files: dict[str, str] = {}
     for raw in paths:
         path = Path(raw)
-        if path.is_dir():
-            yield from sorted(path.rglob("*.py"))
-        else:
-            yield path
+        found = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+        for file in found:
+            files[str(file)] = file.read_text(encoding="utf-8")
+    return files
 
 
 def lint_paths(paths: Iterable[str | Path]) -> list[Finding]:
     """Lint every ``*.py`` file under the given files/directories."""
-    findings: list[Finding] = []
-    for path in _iter_files(paths):
-        findings.extend(lint_source(path.read_text(encoding="utf-8"), str(path)))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    return lint_sources(_read_files(paths))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Repo-specific AST lint rules (RPL001-RPL005).",
+        description="Repo-specific static analysis: AST rules "
+        "(RPL000-RPL005) and determinism-taint/async-hazard rules "
+        "(RPS101-RPS105, RPS201-RPS204).",
     )
     parser.add_argument(
         "paths",
@@ -537,6 +568,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="output format (default %(default)s)",
+    )
+    parser.add_argument(
+        "--json-out",
+        metavar="PATH",
+        default=None,
+        help="also write the JSON report here (CI artifact)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
@@ -554,26 +591,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     if missing:
         print(f"no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
-    findings = lint_paths(args.paths)
+    files = _read_files(args.paths)
+    findings = lint_sources(files)
+    report = json.dumps(
+        {"ok": not findings, "findings": [f.to_dict() for f in findings]},
+        indent=2,
+        sort_keys=True,
+    )
+    if args.json_out is not None:
+        Path(args.json_out).write_text(report + "\n", encoding="utf-8")
     if args.format == "json":
-        json.dump(
-            {
-                "ok": not findings,
-                "findings": [f.to_dict() for f in findings],
-            },
-            sys.stdout,
-            indent=2,
-            sort_keys=True,
-        )
-        print()
+        print(report)
     else:
         for finding in findings:
             print(finding.render())
-        n_files = sum(1 for _ in _iter_files(args.paths))
         print(
-            f"{len(findings)} finding(s) in {n_files} file(s)"
+            f"{len(findings)} finding(s) in {len(files)} file(s)"
             if findings
-            else f"clean: {n_files} file(s), 0 findings"
+            else f"clean: {len(files)} file(s), 0 findings"
         )
     return 1 if findings else 0
 

@@ -1,6 +1,6 @@
 """Runtime sanitizer hooks: what static analysis cannot prove.
 
-Two companions to ``repro-sanitize`` (:mod:`repro.analysis.sanitize`):
+Two companions to the RPS rules (:mod:`repro.analysis.sanitize`):
 
 * :class:`LoopStallWatchdog` — a daemon thread that heartbeats the
   asyncio event loop.  If the loop stops responding for longer than

@@ -92,6 +92,16 @@ class Bus:
         self._snoopers.append(snooper)
         return len(self._snoopers) - 1
 
+    def detach_all(self) -> None:
+        """Forget every hierarchy and the observer: the machine is done.
+
+        Each hierarchy holds the bus and the bus holds each hierarchy,
+        so without this a finished machine is freed only by a full
+        garbage collection, which large resident traces make rare.
+        """
+        self._snoopers.clear()
+        self.observer = None
+
     @property
     def n_snoopers(self) -> int:
         """Number of attached hierarchies."""

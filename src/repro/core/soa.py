@@ -853,57 +853,21 @@ class SoAWriteBuffer(WriteBuffer):
 class SoAHierarchy(TwoLevelHierarchy):
     """A :class:`TwoLevelHierarchy` with array-backed components.
 
-    The constructor runs the parent's setup (bus attachment, stats,
-    hot-path aliases) and then swaps in the SoA TLB, level-1 caches,
-    R-cache and write buffer.  Because the replacements subclass the
-    originals and present identical interfaces, every scalar protocol
-    method — and the checker, checkpointer and model checker with
-    them — runs unchanged; only :func:`run_soa` exploits the arrays.
+    It sets the parent's component classes to the SoA TLB, level-1
+    caches, R-cache and write buffer, so the parent's constructor
+    builds each component once, array-backed.  Because the SoA classes
+    subclass the originals and present identical interfaces, every
+    scalar protocol method — and the checker, checkpointer and model
+    checker with them — runs unchanged; only :func:`run_soa` exploits
+    the arrays.
     """
 
     __slots__ = ()
 
-    def __init__(
-        self,
-        config: Any,
-        layout: Any,
-        bus: Any,
-        next_version: Any = None,
-        tlb_entries: int = 64,
-        tlb_associativity: int = 4,
-        drain_period: int = 4,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(
-            config,
-            layout,
-            bus,
-            next_version=next_version,
-            tlb_entries=tlb_entries,
-            tlb_associativity=tlb_associativity,
-            drain_period=drain_period,
-            seed=seed,
-        )
-        self.tlb = SoATLB(layout, tlb_entries, tlb_associativity)
-        if config.split_l1:
-            half = config.l1_half()
-            self._l1s = [
-                SoAL1Cache(half, 0, "L1-I", config.l1_replacement, seed),
-                SoAL1Cache(half, 1, "L1-D", config.l1_replacement, seed + 1),
-            ]
-        else:
-            self._l1s = [
-                SoAL1Cache(config.l1, 0, "L1", config.l1_replacement, seed)
-            ]
-        self.rcache = SoARCache(
-            config.l2,
-            config.subentries_per_l2_block,
-            config.l2_replacement,
-            seed + 2,
-        )
-        self.write_buffer = SoAWriteBuffer(config.write_buffer_capacity)
-        self._wb_entries = self.write_buffer._entries
-        self._split = len(self._l1s) == 2
+    _tlb_cls = SoATLB
+    _l1_cls = SoAL1Cache
+    _rcache_cls = SoARCache
+    _wb_cls = SoAWriteBuffer
 
     def clear_change_logs(self) -> None:
         """Drop accumulated dirty/eviction logs.

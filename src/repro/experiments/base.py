@@ -447,6 +447,7 @@ def simulate(
         )
     else:
         result = machine.run(records, injector=injector, guard=guard)
+    machine.bus.detach_all()
     result.timings["trace_gen_s"] = trace_gen_s
     _executed_simulations += 1
     _sim_cache[cache_key] = result

@@ -100,6 +100,14 @@ class TwoLevelHierarchy:
         "_tr_coh",
     )
 
+    #: Component classes the constructor builds.  A subclass with
+    #: interface-compatible components (the SoA engine's array-backed
+    #: ones) overrides these instead of the constructor.
+    _tlb_cls: type[TLB] = TLB
+    _l1_cls: type[L1Cache] = L1Cache
+    _rcache_cls: type[RCache] = RCache
+    _wb_cls: type[WriteBuffer] = WriteBuffer
+
     def __init__(
         self,
         config: HierarchyConfig,
@@ -116,9 +124,9 @@ class TwoLevelHierarchy:
         self.layout = layout
         self.bus = bus
         self.cpu = bus.attach(self)
-        self.tlb = TLB(layout, tlb_entries, tlb_associativity)
+        self.tlb = self._tlb_cls(layout, tlb_entries, tlb_associativity)
         self.stats = HierarchyStats()
-        self.write_buffer = WriteBuffer(config.write_buffer_capacity)
+        self.write_buffer = self._wb_cls(config.write_buffer_capacity)
         self.drain_period = drain_period
         self._inclusion = config.kind.inclusion
         self._virtual_l1 = config.kind.virtual_l1
@@ -136,13 +144,15 @@ class TwoLevelHierarchy:
         if config.split_l1:
             half = config.l1_half()
             self._l1s = [
-                L1Cache(half, 0, "L1-I", config.l1_replacement, seed),
-                L1Cache(half, 1, "L1-D", config.l1_replacement, seed + 1),
+                self._l1_cls(half, 0, "L1-I", config.l1_replacement, seed),
+                self._l1_cls(half, 1, "L1-D", config.l1_replacement, seed + 1),
             ]
         else:
-            unified = L1Cache(config.l1, 0, "L1", config.l1_replacement, seed)
+            unified = self._l1_cls(
+                config.l1, 0, "L1", config.l1_replacement, seed
+            )
             self._l1s = [unified]
-        self.rcache = RCache(
+        self.rcache = self._rcache_cls(
             config.l2,
             config.subentries_per_l2_block,
             config.l2_replacement,

@@ -27,7 +27,6 @@ from .metrics import (
     CounterMetric,
     HistogramMetric,
     MetricsRegistry,
-    TimerMetric,
     registry_from_result,
     validate_name,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "MetricsRegistry",
     "RunManifest",
     "RunRecorder",
-    "TimerMetric",
     "TraceEvent",
     "configure",
     "get_logger",

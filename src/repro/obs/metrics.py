@@ -9,15 +9,14 @@ namespace — ``l1.hit.read``, ``r.synonym_move``, ``tlb.miss``,
 the CLI's ``--metrics-out`` snapshot and the run manifest all speak
 the same metric names.
 
-Three typed metric kinds exist:
+Two typed metric kinds exist:
 
 * :class:`CounterMetric` — a monotonically growing integer.
 * :class:`HistogramMetric` — integer buckets with a catch-all top
   bucket (the shape of the paper's inter-write-interval tables).
-* :class:`TimerMetric` — accumulated wall-clock seconds with a lap
-  count.  Timers are deliberately *excluded* from
-  :func:`registry_from_result`: wall-clock is nondeterministic, and
-  metric snapshots must be bit-identical across ``--jobs`` settings.
+
+Neither holds wall-clock time: metric snapshots must be bit-identical
+across ``--jobs`` settings.
 
 Registries merge (worker metrics fold into the parent's registry) and
 round-trip through plain JSON dicts via :meth:`MetricsRegistry.snapshot`
@@ -115,29 +114,6 @@ class HistogramMetric:
         return f"HistogramMetric({self.name}, n={self.observations})"
 
 
-class TimerMetric:
-    """Accumulated seconds plus a lap count."""
-
-    __slots__ = ("name", "seconds", "laps")
-
-    kind = "timer"
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.seconds = 0.0
-        self.laps = 0
-
-    def add(self, seconds: float) -> None:
-        """Record one lap of *seconds*."""
-        if seconds < 0:
-            raise ValueError(f"timer {self.name}: negative lap {seconds}")
-        self.seconds += seconds
-        self.laps += 1
-
-    def __repr__(self) -> str:
-        return f"TimerMetric({self.name}, {self.seconds:.3f}s/{self.laps})"
-
-
 class MetricsRegistry:
     """Typed metrics under one dotted namespace.
 
@@ -179,10 +155,6 @@ class MetricsRegistry:
                 f"histogram {name!r} exists with top={metric.top}, not {top}"
             )
         return metric
-
-    def timer(self, name: str) -> TimerMetric:
-        """The timer *name*, created on first use."""
-        return self._get_or_create(name, TimerMetric)
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Shorthand for ``counter(name).inc(amount)``."""
@@ -229,10 +201,6 @@ class MetricsRegistry:
                 self.counter(name).inc(metric.value)
             elif isinstance(metric, HistogramMetric):
                 self.histogram(name, top=metric.top).merge(metric)
-            elif isinstance(metric, TimerMetric):
-                mine = self.timer(name)
-                mine.seconds += metric.seconds
-                mine.laps += metric.laps
 
     def snapshot(self) -> dict[str, Any]:
         """A deterministic, JSON-ready view of every metric.
@@ -243,23 +211,13 @@ class MetricsRegistry:
         """
         counters: dict[str, int] = {}
         histograms: dict[str, dict[str, int]] = {}
-        timers: dict[str, dict[str, float]] = {}
         for name in sorted(self._metrics):
             metric = self._metrics[name]
             if isinstance(metric, CounterMetric):
                 counters[name] = metric.value
-            elif isinstance(metric, HistogramMetric):
-                histograms[name] = metric.as_dict()
             else:
-                timers[name] = {
-                    "seconds": round(metric.seconds, 6),
-                    "laps": metric.laps,
-                }
-        return {
-            "counters": counters,
-            "histograms": histograms,
-            "timers": timers,
-        }
+                histograms[name] = metric.as_dict()
+        return {"counters": counters, "histograms": histograms}
 
     @classmethod
     def from_snapshot(cls, snapshot: dict[str, Any]) -> "MetricsRegistry":
@@ -277,10 +235,6 @@ class MetricsRegistry:
                 if count == 0:
                     continue
                 hist.record(top if label.endswith("+") else int(label), count)
-        for name, timing in snapshot.get("timers", {}).items():
-            timer = reg.timer(name)
-            timer.seconds = float(timing["seconds"])
-            timer.laps = int(timing["laps"])
         return reg
 
     def __repr__(self) -> str:

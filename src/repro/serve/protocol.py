@@ -271,8 +271,8 @@ class JobFailedError(ServeRejection):
 def result_payload(result: Any) -> dict[str, Any]:
     """The deterministic JSON body for one simulation result.
 
-    Uses the unified metrics projection (counters and histograms only;
-    wall-clock timers are nondeterministic and excluded), so a cached
+    Uses the unified metrics projection (counters and histograms, no
+    wall-clock), so a cached
     and a freshly computed result for the same configuration serialise
     byte-identically.
     """

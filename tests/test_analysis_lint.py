@@ -179,7 +179,7 @@ class TestRPL004HotAllocations:
 
 class TestRepoIsClean:
     def test_src_tests_benchmarks_lint_clean(self):
-        """The gate CI runs: the whole repo under all four rules."""
+        """The gate CI runs: the whole repo under every rule."""
         assert lint_paths(["src", "tests", "benchmarks"]) == []
 
 

@@ -1,10 +1,11 @@
-"""Tests for ``repro-sanitize`` and its runtime companions.
+"""Tests for the RPS rule pack (run through ``repro-lint``) and its
+runtime companions.
 
 Every rule gets a deliberately violating fixture and a conforming
 one; the repo itself must analyse clean (the same gate CI runs with
-``repro-sanitize --strict``).  The runtime half — DeterminismGuard
-and LoopStallWatchdog — is exercised against real patched sources
-and a really-blocked event loop.
+``repro-lint``).  The runtime half — DeterminismGuard and
+LoopStallWatchdog — is exercised against real patched sources and a
+really-blocked event loop.
 """
 
 import asyncio
@@ -19,16 +20,7 @@ from repro.analysis.runtime import (
     DeterminismViolation,
     LoopStallWatchdog,
 )
-from repro.analysis.sanitize import (
-    RULES,
-    analyze_paths,
-    analyze_sources,
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    main,
-    write_baseline,
-)
+from repro.analysis.lint import RULES, lint_paths, lint_sources, main
 from repro.obs import MetricsRegistry
 
 #: Synthetic in-package paths for fixtures.  ``serve/`` for the async
@@ -44,7 +36,7 @@ def analyze(code, path=SRC, extra=None):
         files.update(
             {p: textwrap.dedent(src) for p, src in extra.items()}
         )
-    return analyze_sources(files)
+    return lint_sources(files)
 
 
 def rules(findings):
@@ -538,6 +530,15 @@ class TestSuppressionAndScope:
         )
         assert findings == []
 
+    def test_pragma_never_silences_rpl_findings(self):
+        findings = analyze(
+            """
+            def tally(metrics):
+                metrics.inc("l1.hit.nope")  # rps: ignore
+            """
+        )
+        assert rules(findings) == ["RPL001"]
+
     def test_files_outside_the_package_ignored(self):
         findings = analyze(
             """
@@ -550,51 +551,9 @@ class TestSuppressionAndScope:
         )
         assert findings == []
 
-    def test_syntax_error_surfaces_as_rps000(self):
+    def test_syntax_error_surfaces_once_as_rpl000(self):
         findings = analyze("def broken(:\n")
-        assert rules(findings) == ["RPS000"]
-
-
-class TestBaseline:
-    CODE = textwrap.dedent(
-        """
-        import random
-
-        def jitter():
-            return random.random()
-        """
-    )
-
-    def test_round_trip_absorbs_findings(self, tmp_path):
-        files = {SRC: self.CODE}
-        findings = analyze_sources(files)
-        assert rules(findings) == ["RPS103"]
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, findings, files)
-        fresh, stale = apply_baseline(
-            findings, load_baseline(baseline_path), files
-        )
-        assert fresh == [] and stale == []
-
-    def test_fingerprint_survives_line_drift(self):
-        files = {SRC: self.CODE}
-        (finding,) = analyze_sources(files)
-        shifted = {SRC: "# a new leading comment\n" + self.CODE}
-        (moved,) = analyze_sources(shifted)
-        assert moved.line != finding.line
-        assert fingerprint(moved, shifted) == fingerprint(finding, files)
-
-    def test_fixed_finding_goes_stale(self, tmp_path):
-        files = {SRC: self.CODE}
-        findings = analyze_sources(files)
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, findings, files)
-        fixed = {SRC: "def jitter(seed):\n    return seed\n"}
-        fresh, stale = apply_baseline(
-            analyze_sources(fixed), load_baseline(baseline_path), fixed
-        )
-        assert fresh == []
-        assert len(stale) == 1 and "RPS103" in stale[0]
+        assert rules(findings) == ["RPL000"]
 
 
 class TestCli:
@@ -620,27 +579,28 @@ class TestCli:
         assert report["findings"][0]["rule"] == "RPS103"
         assert "RPS103" in capsys.readouterr().out
 
-    def test_baseline_flag_absorbs_then_strict_flags_stale(self, tmp_path):
+    def test_rpl_and_rps_findings_share_one_report(self, tmp_path, capsys):
         bad = self._write_bad_module(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            [str(tmp_path / "src"), "--write-baseline", str(baseline)]
-        ) == 0
-        assert main(
-            [str(tmp_path / "src"), "--baseline", str(baseline)]
-        ) == 0
-        bad.write_text("def jitter(seed):\n    return seed\n", encoding="utf-8")
-        assert main(
-            [str(tmp_path / "src"), "--baseline", str(baseline)]
-        ) == 0
-        assert main(
-            [str(tmp_path / "src"), "--baseline", str(baseline), "--strict"]
-        ) == 1
+        bad.write_text(
+            bad.read_text(encoding="utf-8")
+            + '\n\ndef tally(metrics):\n    metrics.inc("l1.hit.nope")\n',
+            encoding="utf-8",
+        )
+        report_path = tmp_path / "report.json"
+        code = main([str(tmp_path / "src"), "--json-out", str(report_path)])
+        assert code == 1
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert report["ok"] is False
+        assert [f["rule"] for f in report["findings"]] == ["RPS103", "RPL001"]
+        out = capsys.readouterr().out
+        assert "RPS103" in out and "RPL001" in out
 
     def test_list_rules_covers_catalogue(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in RULES:
+            assert rule in out
+        for rule in ("RPL000", "RPL005", "RPS101", "RPS105", "RPS201", "RPS204"):
             assert rule in out
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
@@ -650,8 +610,8 @@ class TestCli:
 class TestRepoIsClean:
     def test_package_analyses_clean(self):
         # The CI gate: genuine findings get fixed (or pragma'd with a
-        # written rationale), never accumulated in a baseline.
-        assert analyze_paths(["src/repro"]) == []
+        # written rationale on the offending line).
+        assert lint_paths(["src/repro"]) == []
 
 
 FAKE_REPRO = "/fake/src/repro/system/sample_runtime.py"

@@ -1,5 +1,7 @@
 """Tests for the machine-level simulator and the value oracle."""
 
+import gc
+
 import pytest
 
 from repro.common.errors import ProtocolError
@@ -31,6 +33,16 @@ class TestRun:
         result = machine.run(tiny_workload)
         assert len(result.per_cpu) == 2
         assert all(stats.l1_refs() > 0 for stats in result.per_cpu)
+
+    @pytest.mark.parametrize("engine", ["object", "soa"])
+    def test_detached_machine_needs_no_cycle_collector(self, tiny_workload, engine):
+        config = HierarchyConfig.sized("1K", "8K")
+        machine = Multiprocessor(tiny_workload.layout, 2, config, engine=engine)
+        machine.run(tiny_workload, max_refs=500)
+        gc.collect()
+        machine.bus.detach_all()
+        del machine
+        assert gc.collect() == 0
 
     def test_aggregate_sums_cpus(self, tiny_workload):
         machine = small_machine(tiny_workload)

@@ -93,7 +93,6 @@ class TestRegistry:
         reg.inc("l1.hit.data", 5)
         reg.histogram("wb.interval").record(2)
         reg.histogram("wb.interval").record(64)
-        reg.timer("sim.replay").add(1.5)
         snap = reg.snapshot()
         back = MetricsRegistry.from_snapshot(snap)
         assert back.snapshot() == snap
@@ -215,7 +214,7 @@ class TestManifest:
             SCALE,
             options=RunOptions(),
             timings_s={"table6": 1.2},
-            metrics={"counters": {}, "histograms": {}, "timers": {}},
+            metrics={"counters": {}, "histograms": {}},
             trace={},
             simulations=3,
         )
